@@ -254,6 +254,21 @@ impl Deserialize for String {
     }
 }
 
+impl Serialize for std::sync::Arc<str> {
+    fn to_value(&self) -> Value {
+        Value::String(self.to_string())
+    }
+}
+
+impl Deserialize for std::sync::Arc<str> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::String(s) => Ok(std::sync::Arc::from(s.as_str())),
+            _ => Err(Error::custom("expected string")),
+        }
+    }
+}
+
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
@@ -532,5 +547,15 @@ mod tests {
         assert_eq!(v.get("7").and_then(Value::as_str), Some("x"));
         let back: BTreeMap<u64, String> = Deserialize::from_value(&v).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn shared_str_roundtrip() {
+        let name: std::sync::Arc<str> = std::sync::Arc::from("zone007");
+        let v = name.to_value();
+        assert_eq!(v, "zone007".to_string().to_value());
+        let back: std::sync::Arc<str> = Deserialize::from_value(&v).unwrap();
+        assert_eq!(back, name);
+        assert!(<std::sync::Arc<str>>::from_value(&Value::Null).is_err());
     }
 }

@@ -11,7 +11,7 @@
 use imcf_controller::prototype::{family_mrt, WEEK_HOURS};
 use imcf_core::amortization::{AmortizationPlan, ApKind};
 use imcf_core::calendar::PaperCalendar;
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
+use imcf_core::candidate::{CandidateRule, NameTable, PlanningSlot};
 use imcf_core::ecp::Ecp;
 use imcf_core::fairshare::{FairSharePlanner, ShareRule};
 use imcf_core::planner::{EnergyPlanner, PlannerConfig};
@@ -36,6 +36,7 @@ fn family_slots(budget_kwh: f64, tight_factor: f64, seed: u64) -> Vec<PlanningSl
         calendar,
     );
     let mut twin = RoomThermalModel::flat(18.0);
+    let mut names = NameTable::new();
     let mut slots = Vec::with_capacity(WEEK_HOURS as usize);
     for h in 0..WEEK_HOURS {
         let sample = weather.sample(h);
@@ -63,7 +64,7 @@ fn family_slots(budget_kwh: f64, tight_factor: f64, seed: u64) -> Vec<PlanningSl
                 };
                 let mut c =
                     CandidateRule::convenience(rule.id, desired, ambient, kwh).for_class(class);
-                c.owner = rule.owner.clone();
+                c.owner = names.intern(&rule.owner);
                 c.necessity = rule.class == RuleClass::Necessity;
                 Some(c)
             })

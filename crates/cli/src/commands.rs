@@ -3,7 +3,7 @@
 use crate::args::ArgSpec;
 use imcf_core::amortization::{AmortizationPlan, ApKind};
 use imcf_core::calendar::{PaperCalendar, HOURS_PER_MONTH};
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
+use imcf_core::candidate::{CandidateRule, NameTable, PlanningSlot};
 use imcf_core::ecp::Ecp;
 use imcf_core::init::InitStrategy;
 use imcf_core::planner::{EnergyPlanner, PlannerConfig};
@@ -111,7 +111,7 @@ fn build_slots(
     };
     // ECP from the MR schedule over this trace.
     let trace = imcf_traces::series::Trace::new(calendar, vec![zone.clone()]);
-    let ecp = imcf_traces::ecp::derive_ecp(&trace, |z, h| {
+    let ecp = imcf_traces::ecp::derive_ecp(&trace, |_, z, h| {
         let hod = calendar.hour_of_day(h);
         mrt.active_at_hour(hod)
             .iter()
@@ -120,6 +120,7 @@ fn build_slots(
     });
     let plan = AmortizationPlan::new(ApKind::Eaf, ecp, budget_kwh, horizon, calendar)
         .with_savings(savings);
+    let mut names = NameTable::new();
     let mut slots = Vec::with_capacity(horizon as usize);
     for h in 0..horizon {
         let hod = calendar.hour_of_day(h);
@@ -138,7 +139,7 @@ fn build_slots(
                     ambient,
                     price(&r.action, zone.temperature.at(h), zone.light.at(h)),
                 );
-                c.owner = r.owner.clone();
+                c.owner = names.intern(&r.owner);
                 c.device_class = class;
                 c.necessity = r.class == RuleClass::Necessity;
                 Some(c)

@@ -592,7 +592,7 @@ impl LocalController {
             chain.flush();
             for (zone, class) in &adopted_pairs {
                 chain.append(FirewallRule {
-                    matcher: Match::ZoneClass(zone.clone(), *class),
+                    matcher: Match::ZoneClass(zone.to_string(), *class),
                     verdict: Verdict::Accept,
                     comment: format!("imcf: adopted {class} rules in {zone}"),
                 });
@@ -607,7 +607,7 @@ impl LocalController {
                     "plan dropped"
                 };
                 if trace::active() {
-                    let uid = Self::thing_uid_for(zone, *class).unwrap_or_else(|| zone.clone());
+                    let uid = Self::thing_uid_for(zone, *class).unwrap_or_else(|| zone.to_string());
                     trace::point(
                         "firewall.drop_rule",
                         &[
@@ -619,7 +619,7 @@ impl LocalController {
                     );
                 }
                 chain.append(FirewallRule {
-                    matcher: Match::ZoneClass(zone.clone(), *class),
+                    matcher: Match::ZoneClass(zone.to_string(), *class),
                     verdict: Verdict::Drop,
                     comment: format!("imcf: {why} {class} rules in {zone}"),
                 });
@@ -665,7 +665,7 @@ impl LocalController {
                 continue;
             };
             let uid = Self::thing_uid_for(&candidate.zone, class)
-                .unwrap_or_else(|| candidate.zone.clone());
+                .unwrap_or_else(|| candidate.zone.to_string());
             command_index += 1;
             let command_id = trace::TraceId::derive(self.trace_seed, hour, command_index).0;
             self.chaos_tick.store(hour, Ordering::SeqCst);
@@ -733,7 +733,7 @@ impl LocalController {
                             trace::point("actuation.blocked", &[("thing", &uid)]);
                         }
                         self.bus.publish(Event::CommandBlocked {
-                            host: candidate.zone.clone(),
+                            host: candidate.zone.to_string(),
                         });
                         break;
                     }

@@ -15,7 +15,7 @@ use crate::controller::{ControllerConfig, LocalController};
 use imcf_core::amortization::{AmortizationPlan, ApKind};
 use imcf_core::attribution::OwnerStats;
 use imcf_core::calendar::PaperCalendar;
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
+use imcf_core::candidate::{CandidateRule, NameTable, PlanningSlot};
 use imcf_core::ecp::Ecp;
 use imcf_core::objective::convenience_error_fraction;
 use imcf_core::planner::PlannerConfig;
@@ -29,6 +29,7 @@ use imcf_sim::thermal::RoomThermalModel;
 use imcf_sim::weather::WeatherApi;
 use imcf_telemetry::Stopwatch;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Hours in the prototype deployment (one week).
 pub const WEEK_HOURS: u64 = 7 * 24;
@@ -216,6 +217,12 @@ pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
     let mut twin = RoomThermalModel::flat(18.0);
     let room_light = RoomLight::typical();
 
+    // Names shared by every candidate: one zone, one string per resident.
+    let mut names = NameTable::new();
+    let zone = names.intern("home");
+    let rule_owners: Vec<Arc<str>> = mrt.rules().iter().map(|r| names.intern(&r.owner)).collect();
+    let hours = mrt.hour_index();
+
     let mut owners = OwnerStats::default();
     let mut ce_sum = 0.0;
     let mut instances = 0u64;
@@ -231,7 +238,8 @@ pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
 
         let hour_of_day = calendar.hour_of_day(h);
         let mut candidates = Vec::new();
-        for rule in mrt.active_at_hour(hour_of_day) {
+        for &position in hours.active(hour_of_day) {
+            let rule = &mrt.rules()[position];
             let (desired, ambient, class) = match rule.action {
                 Action::SetTemperature(v) => (v, ambient_temp, DeviceClass::Hvac),
                 Action::SetLight(v) => (v, ambient_light, DeviceClass::Light),
@@ -244,9 +252,9 @@ pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
             };
             candidates.push(CandidateRule {
                 rule_id: rule.id,
-                zone: "home".into(),
+                zone: Arc::clone(&zone),
                 device_class: class,
-                owner: rule.owner.clone(),
+                owner: Arc::clone(&rule_owners[position]),
                 priority: rule.priority,
                 necessity: rule.class == RuleClass::Necessity,
                 desired,

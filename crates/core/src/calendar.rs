@@ -82,9 +82,12 @@ impl PaperCalendar {
         self.decompose(hour_index).month
     }
 
-    /// The hour of day (0–23) of a flat hour index.
+    /// The hour of day (0–23) of a flat hour index: the `hour` of
+    /// [`PaperCalendar::decompose`], computed directly because months and
+    /// years are whole days.
     pub fn hour_of_day(&self, hour_index: u64) -> u32 {
-        self.decompose(hour_index).hour
+        let month_offset = (self.start_month.max(1) as u64 - 1) * HOURS_PER_MONTH;
+        ((hour_index + month_offset) % HOURS_PER_DAY) as u32
     }
 
     /// Day-of-horizon (0-based) of a flat hour index.
@@ -147,6 +150,20 @@ mod tests {
         let cal = PaperCalendar::january_start();
         for h in 0..48 {
             assert_eq!(cal.hour_of_day(h), (h % 24) as u32);
+        }
+    }
+
+    #[test]
+    fn hour_of_day_is_the_decomposed_hour() {
+        for start in 1..=12 {
+            let cal = PaperCalendar::starting_in(start);
+            for h in (0..3 * HOURS_PER_YEAR).step_by(7) {
+                assert_eq!(
+                    cal.hour_of_day(h),
+                    cal.decompose(h).hour,
+                    "start {start} hour {h}"
+                );
+            }
         }
     }
 

@@ -15,10 +15,61 @@
 //! Keeping candidates free of device/simulator types lets `imcf-core` stay a
 //! pure algorithm crate: any substrate that can produce slots can be
 //! planned.
+//!
+//! Zone and owner names are shared `Arc<str>`s: a substrate interns each
+//! distinct name once (see [`NameTable`]) and every candidate of that zone
+//! or owner points at the same string, so building a candidate allocates no
+//! string and per-owner attribution can match owners by pointer.
 
 use imcf_rules::action::DeviceClass;
 use imcf_rules::meta_rule::RuleId;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
+
+/// The shared empty name: the zone and owner of candidates built without
+/// one (the household owner, an unspecified zone).
+pub fn unnamed() -> Arc<str> {
+    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::from("")).clone()
+}
+
+/// Interns zone and owner names: one `Arc<str>` per distinct name, so the
+/// candidates a substrate builds from one rule table share their names.
+/// The empty name is always [`unnamed`].
+#[derive(Debug, Clone, Default)]
+pub struct NameTable {
+    names: Vec<Arc<str>>,
+}
+
+impl NameTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The shared string for `name`, allocated on its first use only.
+    pub fn intern(&mut self, name: &str) -> Arc<str> {
+        if name.is_empty() {
+            return unnamed();
+        }
+        if let Some(shared) = self.names.iter().find(|n| ***n == *name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&shared));
+        shared
+    }
+}
+
+/// A name not drawn from a [`NameTable`]: [`unnamed`] when empty, a fresh
+/// allocation otherwise.
+fn own_name(name: &str) -> Arc<str> {
+    if name.is_empty() {
+        unnamed()
+    } else {
+        Arc::from(name)
+    }
+}
 
 /// One meta-rule instance active in a planning slot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,11 +77,11 @@ pub struct CandidateRule {
     /// The meta-rule this instance came from.
     pub rule_id: RuleId,
     /// The zone (room/apartment) the rule actuates (empty = unspecified).
-    pub zone: String,
+    pub zone: Arc<str>,
     /// The device class the rule actuates.
     pub device_class: DeviceClass,
     /// Owning resident (empty = household), for Table V attribution.
-    pub owner: String,
+    pub owner: Arc<str>,
     /// Rule priority (higher = more important).
     pub priority: u32,
     /// True for necessity rules, which the planner must keep active.
@@ -53,9 +104,9 @@ impl CandidateRule {
     pub fn convenience(rule_id: RuleId, desired: f64, ambient: f64, exec_kwh: f64) -> Self {
         CandidateRule {
             rule_id,
-            zone: String::new(),
+            zone: unnamed(),
             device_class: DeviceClass::Hvac,
-            owner: String::new(),
+            owner: unnamed(),
             priority: 1,
             necessity: false,
             desired,
@@ -75,13 +126,13 @@ impl CandidateRule {
 
     /// Sets the owner (builder style).
     pub fn owned_by(mut self, owner: &str) -> Self {
-        self.owner = owner.to_string();
+        self.owner = own_name(owner);
         self
     }
 
     /// Sets the zone (builder style).
     pub fn in_zone(mut self, zone: &str) -> Self {
-        self.zone = zone.to_string();
+        self.zone = own_name(zone);
         self
     }
 
@@ -190,8 +241,20 @@ mod tests {
             .as_necessity();
         assert_eq!(c.ifttt_value, Some(22.0));
         assert_eq!(c.ifttt_kwh, 0.08);
-        assert_eq!(c.owner, "father");
+        assert_eq!(&*c.owner, "father");
         assert!(c.necessity);
+    }
+
+    #[test]
+    fn names_are_shared() {
+        let mut names = NameTable::new();
+        let father = names.intern("father");
+        assert!(Arc::ptr_eq(&father, &names.intern("father")));
+        assert!(!Arc::ptr_eq(&father, &names.intern("mother")));
+        assert!(Arc::ptr_eq(&names.intern(""), &unnamed()));
+        let c = CandidateRule::convenience(RuleId(0), 1.0, 0.0, 0.1);
+        assert!(Arc::ptr_eq(&c.owner, &unnamed()));
+        assert!(Arc::ptr_eq(&c.in_zone("").zone, &unnamed()));
     }
 
     #[test]

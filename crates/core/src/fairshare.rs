@@ -157,7 +157,7 @@ impl FairSharePlanner {
         // Group candidate indices by owner.
         let mut by_owner: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, c) in slot.candidates.iter().enumerate() {
-            by_owner.entry(c.owner.as_str()).or_default().push(i);
+            by_owner.entry(&*c.owner).or_default().push(i);
         }
         if by_owner.is_empty() {
             return 0.0;
@@ -231,7 +231,7 @@ impl FairSharePlanner {
                     convenience_error_fraction(candidate.desired, candidate.ambient)
                 };
                 report.ce_sum += ce;
-                report.owners.record(owner, ce);
+                report.owners.record(&candidate.owner, ce);
             }
             *report.owner_energy.entry(owner.to_string()).or_insert(0.0) += energy;
             spent_total += energy;

@@ -2,14 +2,13 @@
 //!
 //! The paper describes "neighborhoods that involve changing *up to* k
 //! components of the solution, which is often referred to as k-opt".
-//! [`KOpt`] implements that move over the *droppable* components only —
+//! [`KOpt`] draws that move over the *droppable* components only —
 //! necessity rules are pinned on and never flipped — by drawing a move size
 //! `j` uniformly from `1..=k` and then flipping `j` distinct uniformly
 //! random components. Including the smaller move sizes keeps every solution
 //! reachable (flipping exactly k would partition the hypercube by parity
 //! for even k).
 
-use crate::solution::Solution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -31,40 +30,56 @@ impl KOpt {
         KOpt { k }
     }
 
-    /// Produces a neighbour of `current` by flipping `j ∈ 1..=k` uniformly
-    /// random distinct components among `mutable` (indices of droppable
-    /// candidates). Returns the neighbour and the flipped indices.
-    pub fn neighbour<R: Rng + ?Sized>(
+    /// Draws the flip set of one move into `flips`: a move size
+    /// `j ∈ 1..=k` (k clamped to `mutable.len()`), then `j` distinct
+    /// components among `mutable` (indices of droppable candidates).
+    ///
+    /// The draws are fixed: `gen_range(1..=k)`, then Floyd's sampling of
+    /// `j` positions out of `mutable.len()` — one `gen_range(0..=i)` per
+    /// position, exactly as `rand::seq::index::sample` draws them, in the
+    /// same output order. With nothing mutable, `flips` is left empty and
+    /// nothing is drawn.
+    ///
+    /// `flips` is cleared first; the optimizers reuse one buffer for every
+    /// move of a slot, so a move allocates nothing. Sampling is O(j²) — an
+    /// O(N) shuffle here would dominate dorms-scale planning.
+    pub fn draw_flips<R: Rng + ?Sized>(
         &self,
-        current: &Solution,
         mutable: &[usize],
         rng: &mut R,
-    ) -> (Solution, Vec<usize>) {
-        let mut next = current.clone();
-        if mutable.is_empty() {
-            return (next, Vec::new());
+        flips: &mut Vec<usize>,
+    ) {
+        flips.clear();
+        let n = mutable.len();
+        if n == 0 {
+            return;
         }
-        let k = self.k.min(mutable.len());
-        let j = rng.gen_range(1..=k);
-        // Sample j distinct positions without replacement in O(j) — the
-        // optimizer calls this τ_max times per slot, so an O(N) shuffle
-        // here would dominate dorms-scale planning.
-        let chosen: Vec<usize> = rand::seq::index::sample(rng, mutable.len(), j)
-            .into_iter()
-            .map(|pos| mutable[pos])
-            .collect();
-        for &i in &chosen {
-            next.flip(i);
+        let j = rng.gen_range(1..=self.k.min(n));
+        for i in (n - j)..n {
+            let t = rng.gen_range(0..=i);
+            flips.push(if flips.contains(&t) { i } else { t });
         }
-        (next, chosen)
+        for flip in flips.iter_mut() {
+            *flip = mutable[*flip];
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::solution::Solution;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Applies a move to a copy of `current`.
+    fn apply(current: &Solution, flips: &[usize]) -> Solution {
+        let mut next = current.clone();
+        for &i in flips {
+            next.flip(i);
+        }
+        next
+    }
 
     #[test]
     fn flips_between_one_and_k_distinct_components() {
@@ -72,11 +87,12 @@ mod tests {
         let current = Solution::all_zeros(6);
         let mutable: Vec<usize> = (0..6).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut flipped = Vec::new();
         let mut sizes_seen = [false; 4];
         for _ in 0..200 {
-            let (next, flipped) = kopt.neighbour(&current, &mutable, &mut rng);
+            kopt.draw_flips(&mutable, &mut rng, &mut flipped);
             assert!((1..=3).contains(&flipped.len()));
-            assert_eq!(current.hamming(&next), flipped.len());
+            assert_eq!(current.hamming(&apply(&current, &flipped)), flipped.len());
             let mut sorted = flipped.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -94,9 +110,11 @@ mod tests {
         // Only components 2 and 5 may move (the rest are necessity rules).
         let mutable = vec![2, 5];
         let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut flipped = Vec::new();
         for _ in 0..20 {
-            let (next, flipped) = kopt.neighbour(&current, &mutable, &mut rng);
+            kopt.draw_flips(&mutable, &mut rng, &mut flipped);
             assert!(flipped.iter().all(|i| mutable.contains(i)));
+            let next = apply(&current, &flipped);
             for i in [0, 1, 3, 4] {
                 assert!(next.get(i), "pinned component {i} moved");
             }
@@ -109,21 +127,47 @@ mod tests {
         let current = Solution::all_zeros(3);
         let mutable = vec![0, 1, 2];
         let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut flipped = Vec::new();
         for _ in 0..50 {
-            let (next, flipped) = kopt.neighbour(&current, &mutable, &mut rng);
+            kopt.draw_flips(&mutable, &mut rng, &mut flipped);
             assert!(flipped.len() <= 3);
-            assert_eq!(next.count_ones(), flipped.len());
+            assert_eq!(apply(&current, &flipped).count_ones(), flipped.len());
         }
     }
 
     #[test]
     fn no_mutable_components_is_a_noop() {
         let kopt = KOpt::new(2);
-        let current = Solution::all_ones(4);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let (next, flipped) = kopt.neighbour(&current, &[], &mut rng);
-        assert_eq!(next, current);
-        assert!(flipped.is_empty());
+        let mut flipped = vec![7, 8];
+        kopt.draw_flips(&[], &mut rng, &mut flipped);
+        assert!(flipped.is_empty(), "the buffer is cleared");
+        // Nothing was drawn.
+        assert_eq!(rng.next_u64(), ChaCha8Rng::seed_from_u64(1).next_u64());
+    }
+
+    #[test]
+    fn draws_are_rand_index_sample_draws() {
+        // The same stream as a move size draw followed by
+        // `rand::seq::index::sample`, mapped through the mutable list.
+        let mutable = vec![1, 4, 5, 9, 12, 13, 20];
+        let mut flipped = Vec::new();
+        for k in 1..=8 {
+            let kopt = KOpt::new(k);
+            let mut ours = ChaCha8Rng::seed_from_u64(k as u64);
+            let mut reference = ours.clone();
+            for _ in 0..100 {
+                kopt.draw_flips(&mutable, &mut ours, &mut flipped);
+                let j = reference.gen_range(1..=k.min(mutable.len()));
+                let expected: Vec<usize> =
+                    rand::seq::index::sample(&mut reference, mutable.len(), j)
+                        .into_iter()
+                        .map(|pos| mutable[pos])
+                        .collect();
+                assert_eq!(flipped, expected, "k = {k}");
+            }
+            assert_eq!(ours.next_u64(), reference.next_u64(), "k = {k}");
+        }
     }
 
     #[test]
@@ -131,12 +175,12 @@ mod tests {
         // Over many draws, a 1-opt on 4 mutable components should flip each
         // component at least once.
         let kopt = KOpt::new(1);
-        let current = Solution::all_zeros(4);
         let mutable: Vec<usize> = (0..4).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut flipped = Vec::new();
         let mut seen = [false; 4];
         for _ in 0..200 {
-            let (_, flipped) = kopt.neighbour(&current, &mutable, &mut rng);
+            kopt.draw_flips(&mutable, &mut rng, &mut flipped);
             seen[flipped[0]] = true;
         }
         assert!(seen.iter().all(|s| *s));

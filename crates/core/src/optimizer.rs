@@ -73,19 +73,46 @@ fn fallback(slot: &PlanningSlot) -> Solution {
     s
 }
 
-/// Picks the better of two (solution, objective) pairs under the paper's
-/// ordering: feasibility first, then convenience error, then energy as a
+/// Whether objective `a` is better than `b` under the paper's ordering:
+/// feasibility first, then convenience error, then energy as a
 /// deterministic tiebreaker.
-fn better(budget: f64, a: &(Solution, SlotObjective), b: &(Solution, SlotObjective)) -> bool {
-    // "a is better than b"?
-    let fa = a.1.feasible(budget);
-    let fb = b.1.feasible(budget);
+fn better(budget: f64, a: &SlotObjective, b: &SlotObjective) -> bool {
+    let fa = a.feasible(budget);
+    let fb = b.feasible(budget);
     match (fa, fb) {
         (true, false) => true,
         (false, true) => false,
-        _ => {
-            a.1.ce_sum < b.1.ce_sum || (a.1.ce_sum == b.1.ce_sum && a.1.energy_kwh < b.1.energy_kwh)
-        }
+        _ => a.ce_sum < b.ce_sum || (a.ce_sum == b.ce_sum && a.energy_kwh < b.energy_kwh),
+    }
+}
+
+/// Debug builds: checks a delta-evaluated objective against a fresh
+/// [`evaluate`] of `base` with `flips` applied, on energy and on
+/// convenience error.
+fn debug_check_delta(slot: &PlanningSlot, base: &Solution, flips: &[usize], obj: &SlotObjective) {
+    if cfg!(debug_assertions) {
+        let mut moved = base.clone();
+        apply_flips(&mut moved, flips);
+        let fresh = evaluate(slot, &moved);
+        debug_assert!(
+            (obj.energy_kwh - fresh.energy_kwh).abs() < 1e-6,
+            "delta evaluation diverged on energy: {} vs {}",
+            obj.energy_kwh,
+            fresh.energy_kwh
+        );
+        debug_assert!(
+            (obj.ce_sum - fresh.ce_sum).abs() < 1e-6,
+            "delta evaluation diverged on convenience error: {} vs {}",
+            obj.ce_sum,
+            fresh.ce_sum
+        );
+    }
+}
+
+/// Applies an accepted move in place.
+fn apply_flips(solution: &mut Solution, flips: &[usize]) {
+    for &i in flips {
+        solution.flip(i);
     }
 }
 
@@ -117,6 +144,10 @@ impl Default for HillClimbing {
 }
 
 impl Optimizer for HillClimbing {
+    /// Each move draws its flip set into one buffer reused across the slot,
+    /// scores it with [`evaluate_with_flips`] relative to the current best,
+    /// and flips the best solution in place only when the move is accepted:
+    /// no move clones a solution or allocates.
     fn optimize<R: Rng + ?Sized>(
         &self,
         slot: &PlanningSlot,
@@ -125,30 +156,29 @@ impl Optimizer for HillClimbing {
     ) -> (Solution, SlotObjective) {
         init.force_on(&necessity_indices(slot));
         let mutable = slot.droppable_indices();
-        let mut best = (init.clone(), evaluate(slot, &init));
+        let mut best_obj = evaluate(slot, &init);
+        let mut best = init;
+        let mut flips = Vec::with_capacity(self.kopt.k.min(mutable.len()));
         let mut tau = 0;
         while tau < self.tau_max {
-            let (candidate, flipped) = self.kopt.neighbour(&best.0, &mutable, rng);
+            self.kopt.draw_flips(&mutable, rng, &mut flips);
             // Incremental O(k) evaluation relative to the current best.
-            let obj = evaluate_with_flips(slot, &best.0, best.1, &flipped);
-            debug_assert!(
-                (obj.energy_kwh - evaluate(slot, &candidate).energy_kwh).abs() < 1e-6,
-                "delta evaluation diverged"
-            );
-            let next = (candidate, obj);
-            if better(slot.budget_kwh, &next, &best) && obj.feasible(slot.budget_kwh) {
-                best = next;
+            let obj = evaluate_with_flips(slot, &best, best_obj, &flips);
+            debug_check_delta(slot, &best, &flips, &obj);
+            if better(slot.budget_kwh, &obj, &best_obj) && obj.feasible(slot.budget_kwh) {
+                apply_flips(&mut best, &flips);
+                best_obj = obj;
             }
             tau += 1;
         }
         static ITERATIONS: OnceLock<Counter> = OnceLock::new();
         iteration_counter(&ITERATIONS, "hill-climbing").add(tau as u64);
-        if !best.1.feasible(slot.budget_kwh) {
+        if !best_obj.feasible(slot.budget_kwh) {
             let fb = fallback(slot);
             let obj = evaluate(slot, &fb);
             return (fb, obj);
         }
-        best
+        (best, best_obj)
     }
 
     fn name(&self) -> &'static str {
@@ -199,6 +229,9 @@ impl Default for SimulatedAnnealing {
 }
 
 impl Optimizer for SimulatedAnnealing {
+    /// Moves like [`HillClimbing`]: one reused flip buffer, delta
+    /// evaluation, in-place application on acceptance. `best` is copied
+    /// from `current` only when it improves.
     fn optimize<R: Rng + ?Sized>(
         &self,
         slot: &PlanningSlot,
@@ -207,21 +240,27 @@ impl Optimizer for SimulatedAnnealing {
     ) -> (Solution, SlotObjective) {
         init.force_on(&necessity_indices(slot));
         let mutable = slot.droppable_indices();
-        let mut current = (init.clone(), evaluate(slot, &init));
-        let mut best = current.clone();
+        let mut current_obj = evaluate(slot, &init);
+        let mut best = init.clone();
+        let mut best_obj = current_obj;
+        let mut current = init;
+        let mut flips = Vec::with_capacity(self.kopt.k.min(mutable.len()));
         let mut temperature = self.initial_temperature;
         for _ in 0..self.tau_max {
-            let (candidate, flipped) = self.kopt.neighbour(&current.0, &mutable, rng);
-            let obj = evaluate_with_flips(slot, &current.0, current.1, &flipped);
+            self.kopt.draw_flips(&mutable, rng, &mut flips);
+            let obj = evaluate_with_flips(slot, &current, current_obj, &flips);
+            debug_check_delta(slot, &current, &flips, &obj);
             if obj.feasible(slot.budget_kwh) {
-                let delta = obj.ce_sum - current.1.ce_sum;
+                let delta = obj.ce_sum - current_obj.ce_sum;
                 let accept = delta < 0.0
-                    || !current.1.feasible(slot.budget_kwh)
+                    || !current_obj.feasible(slot.budget_kwh)
                     || rng.gen::<f64>() < (-delta / temperature).exp();
                 if accept {
-                    current = (candidate, obj);
-                    if better(slot.budget_kwh, &current, &best) {
-                        best = current.clone();
+                    apply_flips(&mut current, &flips);
+                    current_obj = obj;
+                    if better(slot.budget_kwh, &current_obj, &best_obj) {
+                        best.clone_from(&current);
+                        best_obj = current_obj;
                     }
                 }
             }
@@ -229,12 +268,12 @@ impl Optimizer for SimulatedAnnealing {
         }
         static ITERATIONS: OnceLock<Counter> = OnceLock::new();
         iteration_counter(&ITERATIONS, "simulated-annealing").add(self.tau_max as u64);
-        if !best.1.feasible(slot.budget_kwh) {
+        if !best_obj.feasible(slot.budget_kwh) {
             let fb = fallback(slot);
             let obj = evaluate(slot, &fb);
             return (fb, obj);
         }
-        best
+        (best, best_obj)
     }
 
     fn name(&self) -> &'static str {
@@ -276,9 +315,8 @@ impl Optimizer for ExhaustiveOracle {
                 }
             }
             let obj = evaluate(slot, &s);
-            let cand = (s, obj);
-            if obj.feasible(slot.budget_kwh) && better(slot.budget_kwh, &cand, &best) {
-                best = cand;
+            if obj.feasible(slot.budget_kwh) && better(slot.budget_kwh, &obj, &best.1) {
+                best = (s, obj);
             }
         }
         static ITERATIONS: OnceLock<Counter> = OnceLock::new();

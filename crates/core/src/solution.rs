@@ -9,9 +9,23 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A binary activation vector over a slot's candidates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Solution {
     bits: Vec<bool>,
+}
+
+impl Clone for Solution {
+    fn clone(&self) -> Self {
+        Solution {
+            bits: self.bits.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer: simulated annealing copies its current
+    /// solution into its best one this way.
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 impl Solution {
@@ -139,6 +153,14 @@ mod tests {
         s.flip(3);
         assert_eq!(s, Solution::from_bits(vec![true, true, false, false]));
         assert_eq!(s.to_string(), "⟨1, 1, 0, 0⟩");
+    }
+
+    #[test]
+    fn clone_from_copies_the_bits() {
+        let source = Solution::from_bits(vec![true, false, true]);
+        let mut target = Solution::all_zeros(5);
+        target.clone_from(&source);
+        assert_eq!(target, source);
     }
 
     #[test]

@@ -25,6 +25,17 @@ pub enum DeviceClass {
     Meter,
 }
 
+impl DeviceClass {
+    /// Every class, in declaration (and `Ord`) order.
+    pub const ALL: [DeviceClass; 3] = [DeviceClass::Hvac, DeviceClass::Light, DeviceClass::Meter];
+
+    /// The class's position in [`DeviceClass::ALL`]: the key of arrays
+    /// indexed by class.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 impl fmt::Display for DeviceClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -6,13 +6,14 @@
 //! [`IftttTable::resolve`] implements the executor semantics: all rules whose
 //! trigger fires are applied in table order, with later rules overriding
 //! earlier ones on the same device class — the standard last-writer-wins
-//! semantics of trigger-action platforms.
+//! semantics of trigger-action platforms. The outcome is a [`ClassActions`],
+//! a fixed array keyed by [`DeviceClass`]: the slot builder resolves the
+//! table once per zone-hour, so resolution allocates nothing.
 
 use crate::action::{Action, DeviceClass};
 use crate::env::{EnvSnapshot, Season, Weather};
 use crate::predicate::{Cmp, Predicate};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One `IF THIS THEN THAT` rule.
@@ -34,6 +35,35 @@ impl IftttRule {
 impl fmt::Display for IftttRule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "IF {} THEN {}", self.trigger, self.action)
+    }
+}
+
+/// The winning actuation per device class of one IFTTT resolution.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ClassActions([Option<Action>; DeviceClass::ALL.len()]);
+
+impl ClassActions {
+    /// The action that won `class`, if any rule on that class fired.
+    pub fn get(&self, class: DeviceClass) -> Option<&Action> {
+        self.0[class.index()].as_ref()
+    }
+
+    /// Records `action` as the winner of its device class.
+    pub fn set(&mut self, action: Action) {
+        self.0[action.device_class().index()] = Some(action);
+    }
+
+    /// True when no rule fired.
+    pub fn is_empty(&self) -> bool {
+        self.0.iter().all(Option::is_none)
+    }
+
+    /// The winning `(class, action)` pairs in [`DeviceClass`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (DeviceClass, Action)> + '_ {
+        DeviceClass::ALL
+            .into_iter()
+            .zip(self.0.iter())
+            .filter_map(|(class, action)| Some((class, (*action)?)))
     }
 }
 
@@ -77,11 +107,11 @@ impl IftttTable {
     /// Resolves the table against a snapshot: evaluates every trigger and
     /// returns the winning actuation per device class (later rules override
     /// earlier ones).
-    pub fn resolve(&self, env: &EnvSnapshot) -> BTreeMap<DeviceClass, Action> {
-        let mut out = BTreeMap::new();
+    pub fn resolve(&self, env: &EnvSnapshot) -> ClassActions {
+        let mut out = ClassActions::default();
         for rule in &self.rules {
             if rule.trigger.eval(env) {
-                out.insert(rule.action.device_class(), rule.action);
+                out.set(rule.action);
             }
         }
         out
@@ -134,8 +164,20 @@ mod tests {
             .with_light(3.0)
             .with_weather(Weather::Cloudy);
         let out = IftttTable::flat_table3().resolve(&env);
-        assert_eq!(out[&DeviceClass::Hvac], Action::SetTemperature(24.0));
-        assert_eq!(out[&DeviceClass::Light], Action::SetLight(40.0));
+        assert_eq!(
+            out.get(DeviceClass::Hvac),
+            Some(&Action::SetTemperature(24.0))
+        );
+        assert_eq!(out.get(DeviceClass::Light), Some(&Action::SetLight(40.0)));
+        assert_eq!(out.get(DeviceClass::Meter), None);
+        let winners: Vec<(DeviceClass, Action)> = out.iter().collect();
+        assert_eq!(
+            winners,
+            vec![
+                (DeviceClass::Hvac, Action::SetTemperature(24.0)),
+                (DeviceClass::Light, Action::SetLight(40.0)),
+            ]
+        );
     }
 
     #[test]
@@ -148,8 +190,11 @@ mod tests {
             .with_light(70.0)
             .with_weather(Weather::Sunny);
         let out = IftttTable::flat_table3().resolve(&env);
-        assert_eq!(out[&DeviceClass::Hvac], Action::SetTemperature(23.0));
-        assert_eq!(out[&DeviceClass::Light], Action::SetLight(9.0));
+        assert_eq!(
+            out.get(DeviceClass::Hvac),
+            Some(&Action::SetTemperature(23.0))
+        );
+        assert_eq!(out.get(DeviceClass::Light), Some(&Action::SetLight(9.0)));
     }
 
     #[test]
@@ -161,7 +206,7 @@ mod tests {
             .with_weather(Weather::Sunny)
             .with_door_open(true);
         let out = IftttTable::flat_table3().resolve(&env);
-        assert_eq!(out[&DeviceClass::Light], Action::SetLight(0.0));
+        assert_eq!(out.get(DeviceClass::Light), Some(&Action::SetLight(0.0)));
     }
 
     #[test]
@@ -197,7 +242,7 @@ mod tests {
         t.push(IftttRule::new(Predicate::True, Action::SetLight(50.0)));
         assert_eq!(t.len(), 1);
         let out = t.resolve(&EnvSnapshot::neutral());
-        assert_eq!(out[&DeviceClass::Light], Action::SetLight(50.0));
+        assert_eq!(out.get(DeviceClass::Light), Some(&Action::SetLight(50.0)));
     }
 
     #[test]

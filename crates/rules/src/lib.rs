@@ -55,8 +55,8 @@ pub mod workflow_parse;
 
 pub use action::{Action, DeviceClass};
 pub use env::{EnvSnapshot, Season, Weather};
-pub use ifttt::{IftttRule, IftttTable};
+pub use ifttt::{ClassActions, IftttRule, IftttTable};
 pub use meta_rule::{MetaRule, RuleClass, RuleId};
-pub use mrt::Mrt;
+pub use mrt::{HourIndex, Mrt};
 pub use predicate::Predicate;
 pub use window::TimeWindow;

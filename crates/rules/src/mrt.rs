@@ -18,6 +18,23 @@ use serde::{Deserialize, Serialize};
 /// Hours in the paper's year convention (12 months × 31 days × 24 h).
 pub const PAPER_HOURS_PER_YEAR: u64 = 12 * 31 * 24;
 
+/// The rules of an [`Mrt`] active at each hour of day, as positions into
+/// [`Mrt::rules`] in table order. Built once by [`Mrt::hour_index`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HourIndex {
+    hours: [Vec<usize>; 24],
+}
+
+impl HourIndex {
+    /// Positions of the rules active at `hour_of_day`, in table order: the
+    /// rules [`Mrt::active_at_hour`] returns. Empty for hours past 23.
+    pub fn active(&self, hour_of_day: u32) -> &[usize] {
+        self.hours
+            .get(hour_of_day as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+}
+
 /// A Meta-Rule Table: an ordered collection of meta-rules.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Mrt {
@@ -121,6 +138,18 @@ impl Mrt {
             .iter()
             .filter(|r| r.active_at_hour(hour_of_day))
             .collect()
+    }
+
+    /// Indexes the table by hour of day: [`HourIndex::active`] then answers
+    /// [`Mrt::active_at_hour`] without scanning the table or allocating.
+    pub fn hour_index(&self) -> HourIndex {
+        HourIndex {
+            hours: std::array::from_fn(|hour| {
+                (0..self.rules.len())
+                    .filter(|&i| self.rules[i].active_at_hour(hour as u32))
+                    .collect()
+            }),
+        }
     }
 
     /// The paper's Table II: the six convenience rules of the flat
@@ -277,6 +306,24 @@ mod tests {
             .map(|r| r.description.as_str())
             .collect();
         assert_eq!(names, vec!["Afternoon Preheat", "Cosmetic Lights"]);
+    }
+
+    #[test]
+    fn hour_index_agrees_with_active_at_hour() {
+        let base = Mrt::flat_table2(11000.0);
+        // Jittered windows cross hour boundaries and midnight.
+        for mrt in [base.clone(), base.scaled_variation(3, 25500.0, 9)] {
+            let index = mrt.hour_index();
+            for hour in 0..24 {
+                let indexed: Vec<&MetaRule> = index
+                    .active(hour)
+                    .iter()
+                    .map(|&i| &mrt.rules()[i])
+                    .collect();
+                assert_eq!(indexed, mrt.active_at_hour(hour), "hour {hour}");
+            }
+            assert!(index.active(24).is_empty());
+        }
     }
 
     #[test]

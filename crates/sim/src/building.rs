@@ -19,7 +19,6 @@ use imcf_rules::ifttt::IftttTable;
 use imcf_rules::mrt::Mrt;
 use imcf_traces::generator::TraceGenerator;
 use imcf_traces::series::Trace;
-use std::collections::BTreeMap;
 
 /// Which of the paper's datasets to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,22 +159,32 @@ impl Dataset {
     /// Derives the dataset's Energy Consumption Profile by pricing the MR
     /// (execute-everything) schedule through the device models — the
     /// simulated equivalent of the sub-metered history behind Table I.
+    ///
+    /// Zone *i* is priced under `zone_mrts[i]`, as the slot builder pairs
+    /// them. Each table is indexed once up front into the actions active
+    /// at each hour of day; a zone-hour's rule costs are summed in table
+    /// order and added to the month in hour-then-zone order.
     pub fn derive_mr_ecp(&self) -> Ecp {
-        let mrt_by_zone: BTreeMap<&str, &Mrt> = self
-            .trace
-            .zones
+        let actions_by_hour: Vec<[Vec<Action>; 24]> = self
+            .zone_mrts
             .iter()
-            .zip(self.zone_mrts.iter())
-            .map(|(z, m)| (z.zone.as_str(), m))
+            .map(|mrt| {
+                let index = mrt.hour_index();
+                std::array::from_fn(|hour| {
+                    let active = index.active(hour as u32);
+                    active.iter().map(|&i| mrt.rules()[i].action).collect()
+                })
+            })
             .collect();
-        imcf_traces::ecp::derive_ecp(&self.trace, |zone, h| {
-            let hour_of_day = self.trace.calendar.hour_of_day(h);
-            let Some(mrt) = mrt_by_zone.get(zone.zone.as_str()) else {
+        imcf_traces::ecp::derive_ecp(&self.trace, |zone_idx, zone, h| {
+            let Some(by_hour) = actions_by_hour.get(zone_idx) else {
                 return 0.0;
             };
-            mrt.active_at_hour(hour_of_day)
+            let actions = &by_hour[self.trace.calendar.hour_of_day(h) as usize];
+            let (temp, light) = (zone.temperature.at(h), zone.light.at(h));
+            actions
                 .iter()
-                .map(|r| self.action_kwh(&r.action, zone.temperature.at(h), zone.light.at(h)))
+                .map(|action| self.action_kwh(action, temp, light))
                 .sum()
         })
     }

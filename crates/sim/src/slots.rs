@@ -9,109 +9,149 @@
 //!
 //! Slots are produced lazily — a dorms-scale horizon holds millions of
 //! candidate instances and is streamed, never collected.
+//!
+//! Everything about a zone that does not change with the hour is resolved
+//! once, in [`SlotBuilder::new`]: each zone's rules by hour of day
+//! ([`Mrt::hour_index`]), its name and its owners as shared strings, and
+//! the largest slot each hour of day can produce. [`SlotBuilder::slot_at`]
+//! then decomposes the calendar once per hour and, per candidate, only
+//! prices the rule and clones two `Arc`s.
 
 use crate::building::Dataset;
 use imcf_core::amortization::AmortizationPlan;
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
+use imcf_core::candidate::{CandidateRule, NameTable, PlanningSlot};
 use imcf_rules::action::{Action, DeviceClass};
-use imcf_rules::env::{EnvSnapshot, Season};
+use imcf_rules::env::{EnvSnapshot, Season, Weather};
 use imcf_rules::meta_rule::RuleClass;
+use imcf_rules::mrt::{HourIndex, Mrt};
+use imcf_traces::series::ZoneTrace;
+use std::sync::Arc;
+
+/// A zone with its rule table, resolved once per builder.
+struct Zone<'a> {
+    trace: &'a ZoneTrace,
+    mrt: &'a Mrt,
+    hours: HourIndex,
+    name: Arc<str>,
+    /// The owner of each rule, by position in `mrt.rules()`.
+    owners: Vec<Arc<str>>,
+}
 
 /// Builds planning slots for a dataset under an amortization plan.
 pub struct SlotBuilder<'a> {
     dataset: &'a Dataset,
     plan: &'a AmortizationPlan,
+    zones: Vec<Zone<'a>>,
+    /// Candidates a slot can hold at each hour of day, over all zones.
+    capacity: [usize; 24],
 }
 
 impl<'a> SlotBuilder<'a> {
-    /// Creates a builder.
+    /// Creates a builder, indexing every zone's rules by hour of day.
     pub fn new(dataset: &'a Dataset, plan: &'a AmortizationPlan) -> Self {
-        SlotBuilder { dataset, plan }
-    }
-
-    /// The environment snapshot of one zone at an hour (the IFTTT engine's
-    /// view of the world).
-    fn env_for(&self, zone_idx: usize, hour_index: u64) -> EnvSnapshot {
-        let zone = &self.dataset.trace.zones[zone_idx];
-        let dt = self.dataset.trace.calendar.decompose(hour_index);
-        let light = zone.light.at(hour_index);
-        // Classify the day's sky condition from the noon reading: a bright
-        // noon implies a clear day (the trigger-action platform's weather
-        // feed reports sky condition, not instantaneous indoor light).
-        let day_start = hour_index - (dt.hour as u64);
-        let noon = (day_start + 12).min(self.dataset.horizon_hours - 1);
-        let weather = if zone.light.at(noon) > 33.0 {
-            imcf_rules::env::Weather::Sunny
-        } else {
-            imcf_rules::env::Weather::Cloudy
-        };
-        EnvSnapshot {
-            month: dt.month,
-            hour: dt.hour,
-            minute: 0,
-            season: Season::from_month(dt.month),
-            weather,
-            temperature: zone.temperature.at(hour_index),
-            light_level: light,
-            door_open: zone.door_open.at(hour_index) > 0.05,
+        let mut names = NameTable::new();
+        let zones: Vec<Zone<'a>> = dataset
+            .trace
+            .zones
+            .iter()
+            .zip(dataset.zone_mrts.iter())
+            .map(|(trace, mrt)| Zone {
+                trace,
+                mrt,
+                hours: mrt.hour_index(),
+                name: Arc::from(trace.zone.as_str()),
+                owners: mrt.rules().iter().map(|r| names.intern(&r.owner)).collect(),
+            })
+            .collect();
+        let capacity = std::array::from_fn(|hour| {
+            zones
+                .iter()
+                .map(|z| z.hours.active(hour as u32).len())
+                .sum()
+        });
+        SlotBuilder {
+            dataset,
+            plan,
+            zones,
+            capacity,
         }
     }
 
     /// Builds the slot for one hour.
     pub fn slot_at(&self, hour_index: u64) -> PlanningSlot {
-        let hour_of_day = self.dataset.trace.calendar.hour_of_day(hour_index);
-        let mut candidates = Vec::new();
-        for (zone_idx, (zone, mrt)) in self
-            .dataset
-            .trace
-            .zones
-            .iter()
-            .zip(self.dataset.zone_mrts.iter())
-            .enumerate()
-        {
-            let active = mrt.active_at_hour(hour_of_day);
+        let dt = self.dataset.trace.calendar.decompose(hour_index);
+        let season = Season::from_month(dt.month);
+        // Classify the day's sky condition from the noon reading: a bright
+        // noon implies a clear day (the trigger-action platform's weather
+        // feed reports sky condition, not instantaneous indoor light).
+        let day_start = hour_index - (dt.hour as u64);
+        let noon = (day_start + 12).min(self.dataset.horizon_hours - 1);
+        let mut candidates = Vec::with_capacity(self.capacity[dt.hour as usize]);
+        for zone in &self.zones {
+            let active = zone.hours.active(dt.hour);
             if active.is_empty() {
                 continue;
             }
-            let env = self.env_for(zone_idx, hour_index);
+            let trace = zone.trace;
+            let ambient_temp = trace.temperature.at(hour_index);
+            let ambient_light = trace.light.at(hour_index);
+            // The IFTTT engine's view of the zone this hour.
+            let env = EnvSnapshot {
+                month: dt.month,
+                hour: dt.hour,
+                minute: 0,
+                season,
+                weather: if trace.light.at(noon) > 33.0 {
+                    Weather::Sunny
+                } else {
+                    Weather::Cloudy
+                },
+                temperature: ambient_temp,
+                light_level: ambient_light,
+                door_open: trace.door_open.at(hour_index) > 0.05,
+            };
             let ifttt_actions = self.dataset.ifttt.resolve(&env);
-            let ambient_temp = zone.temperature.at(hour_index);
-            let ambient_light = zone.light.at(hour_index);
-            for rule in active {
+            // The IFTTT counterpart per device class: the perceived value
+            // and the energy of its actuation.
+            let counterparts = DeviceClass::ALL.map(|class| {
+                let action = ifttt_actions.get(class)?;
+                let v = action.desired_value();
+                let kwh = self.dataset.action_kwh(action, ambient_temp, ambient_light);
+                // The perceived output of an IFTTT lamp actuation
+                // includes daylight (lamps add to ambient).
+                let perceived = match class {
+                    DeviceClass::Light => (v + ambient_light).min(100.0),
+                    _ => v,
+                };
+                Some((perceived, kwh))
+            });
+            for &position in active {
+                let rule = &zone.mrt.rules()[position];
                 let (desired, ambient) = match rule.action {
                     Action::SetTemperature(v) => (v, ambient_temp),
                     Action::SetLight(v) => (v, ambient_light),
                     Action::SetKwhLimit(_) => continue,
                 };
-                let exec_kwh = self
-                    .dataset
-                    .action_kwh(&rule.action, ambient_temp, ambient_light);
-                let mut candidate = CandidateRule {
+                let device_class = rule.action.device_class();
+                let (ifttt_value, ifttt_kwh) = match counterparts[device_class.index()] {
+                    Some((value, kwh)) => (Some(value), kwh),
+                    None => (None, 0.0),
+                };
+                candidates.push(CandidateRule {
                     rule_id: rule.id,
-                    zone: zone.zone.clone(),
-                    device_class: rule.action.device_class(),
-                    owner: rule.owner.clone(),
+                    zone: Arc::clone(&zone.name),
+                    device_class,
+                    owner: Arc::clone(&zone.owners[position]),
                     priority: rule.priority,
                     necessity: rule.class == RuleClass::Necessity,
                     desired,
                     ambient,
-                    exec_kwh,
-                    ifttt_value: None,
-                    ifttt_kwh: 0.0,
-                };
-                if let Some(action) = ifttt_actions.get(&rule.action.device_class()) {
-                    let v = action.desired_value();
-                    let kwh = self.dataset.action_kwh(action, ambient_temp, ambient_light);
-                    // The perceived output of an IFTTT lamp actuation
-                    // includes daylight (lamps add to ambient).
-                    let perceived = match action.device_class() {
-                        DeviceClass::Light => (v + ambient_light).min(100.0),
-                        _ => v,
-                    };
-                    candidate.ifttt_value = Some(perceived);
-                    candidate.ifttt_kwh = kwh;
-                }
-                candidates.push(candidate);
+                    exec_kwh: self
+                        .dataset
+                        .action_kwh(&rule.action, ambient_temp, ambient_light),
+                    ifttt_value,
+                    ifttt_kwh,
+                });
             }
         }
         PlanningSlot::new(hour_index, candidates, self.plan.hourly_budget(hour_index))

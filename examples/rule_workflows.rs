@@ -48,7 +48,7 @@ Energy Cap | for 1 month | Set kWh Limit | 300
         .with_light(2.0)
         .with_weather(Weather::Cloudy);
     println!("\n=== IFTTT resolution at a cold dark winter morning ===");
-    for (class, action) in ifttt.resolve(&env) {
+    for (class, action) in ifttt.resolve(&env).iter() {
         println!("  {class}: {action}");
     }
 

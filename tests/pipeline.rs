@@ -170,6 +170,6 @@ Budget | for 3 years | Set kWh Limit | 11000
     let builder = SlotBuilder::new(&dataset, &plan);
     let slot = builder.slot_at(5); // 05:00: both rules active
     assert_eq!(slot.len(), 2);
-    let owners: Vec<&str> = slot.candidates.iter().map(|c| c.owner.as_str()).collect();
+    let owners: Vec<&str> = slot.candidates.iter().map(|c| &*c.owner).collect();
     assert_eq!(owners, vec!["father", "mother"]);
 }
