@@ -33,6 +33,7 @@ use imcf_devices::item::{ItemKind, ItemState};
 use imcf_devices::registry::DeviceRegistry;
 use imcf_obs::{ObsEngine, QueryError};
 use imcf_sim::meter::EnergyMeter;
+use imcf_telemetry::Registry;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -157,10 +158,14 @@ pub struct Router {
     /// controller restores from a checkpoint or drains for shutdown, so a
     /// load balancer routes around the instance without killing it.
     ready: Arc<AtomicBool>,
+    /// The metrics registry `api.requests` is recorded into and
+    /// `/rest/metrics` is served from.
+    metrics: &'static Registry,
 }
 
 impl Router {
-    /// Creates a router over shared controller handles.
+    /// Creates a router over shared controller handles, recording into
+    /// and serving the process-wide metrics registry.
     pub fn new(
         registry: DeviceRegistry,
         firewall: Arc<Mutex<Chain>>,
@@ -173,7 +178,15 @@ impl Router {
             breakers: None,
             obs: None,
             ready: Arc::new(AtomicBool::new(true)),
+            metrics: imcf_telemetry::global(),
         }
+    }
+
+    /// Records `api.requests` into, and serves `/rest/metrics` from,
+    /// `metrics` instead of the process-wide registry.
+    pub fn with_metrics(mut self, metrics: &'static Registry) -> Self {
+        self.metrics = metrics;
+        self
     }
 
     /// The shared readiness flag: store `false` during restore/drain to
@@ -238,7 +251,7 @@ impl Router {
             ("GET", "/rest/firewall") => self.get_firewall(),
             ("GET", "/rest/meter") => self.get_meter(),
             ("GET", "/rest/breakers") => self.get_breakers(),
-            ("GET", "/rest/metrics") => Self::get_metrics(query),
+            ("GET", "/rest/metrics") => self.get_metrics(query),
             ("GET", "/rest/traces") => Self::get_traces(query),
             ("GET", "/rest/healthz") => Response::ok(&serde_json::json!({ "status": "ok" })),
             ("GET", "/rest/readyz") => self.get_readyz(),
@@ -258,7 +271,7 @@ impl Router {
                 None => Response::error(404, "no such endpoint"),
             },
         };
-        imcf_telemetry::global()
+        self.metrics
             .counter_with("api.requests", &[("status", status_class(response.status))])
             .inc();
         response
@@ -312,12 +325,11 @@ impl Router {
         Response::json_text(engine.alerts_json())
     }
 
-    fn get_metrics(query: &str) -> Response {
-        let telemetry = imcf_telemetry::global();
+    fn get_metrics(&self, query: &str) -> Response {
         if query.split('&').any(|kv| kv == "format=json") {
-            Response::json_text(telemetry.json_snapshot_string())
+            Response::json_text(self.metrics.json_snapshot_string())
         } else {
-            Response::text(telemetry.prometheus_text())
+            Response::text(self.metrics.prometheus_text())
         }
     }
 
@@ -759,14 +771,22 @@ mod tests {
         assert_eq!(status_class(200), "2xx");
         assert_eq!(status_class(409), "4xx");
         assert_eq!(status_class(500), "5xx");
+        // A private registry: sibling tests running in parallel send 2xx
+        // requests through routers on the process-wide one.
+        let metrics: &'static imcf_telemetry::Registry =
+            Box::leak(Box::new(imcf_telemetry::Registry::new()));
         let (_c, router) = router_with_zone();
-        let before = imcf_telemetry::global()
+        let router = router.with_metrics(metrics);
+        let before = metrics
             .counter_with("api.requests", &[("status", "2xx")])
             .get();
         router.handle("GET /rest/items");
-        let after = imcf_telemetry::global()
+        let after = metrics
             .counter_with("api.requests", &[("status", "2xx")])
             .get();
         assert_eq!(after, before + 1);
+        // `/rest/metrics` serves the same registry.
+        let body = router.handle("GET /rest/metrics").body;
+        assert!(body.contains("api_requests{status=\"2xx\"} 1\n"), "{body}");
     }
 }

@@ -66,7 +66,7 @@ impl<T> Clone for SharedTable<T> {
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> SharedTable<T> {
+impl<T: Serialize + DeserializeOwned + Clone + Send> SharedTable<T> {
     /// Wraps a table for shared multi-writer use.
     pub fn new(table: Table<T>) -> Self {
         let lsn = table.wal_lsn();
@@ -216,7 +216,7 @@ impl<T: Serialize + DeserializeOwned + Clone> SharedTable<T> {
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
+impl<T: Serialize + DeserializeOwned + Clone + Send> Table<T> {
     /// Converts this table into a multi-writer group-commit handle.
     pub fn into_shared(self) -> SharedTable<T> {
         SharedTable::new(self)

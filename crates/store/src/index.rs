@@ -23,7 +23,7 @@ pub struct IndexedTable<T, K: Ord + Clone> {
 
 impl<T, K> IndexedTable<T, K>
 where
-    T: Serialize + DeserializeOwned + Clone,
+    T: Serialize + DeserializeOwned + Clone + Send,
     K: Ord + Clone,
 {
     /// Opens the underlying table and builds the index.

@@ -13,10 +13,10 @@
 //! valid record prefix is shorter than its physical length marks the crash
 //! point — every later segment is debris of an interrupted roll and is
 //! removed, exactly as bytes after a torn record are discarded within one
-//! file. The seed's single-file layout `<table>.wal` is migrated on open
-//! by renaming it to segment 1.
+//! file. Each segment up to that point is read once; its records are
+//! handed out as views into that one buffer ([`Recovered`]).
 
-use crate::wal::{Wal, WalFaultHook, WalOp};
+use crate::wal::{Frames, Wal, WalFaultHook, WalOp};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -59,15 +59,56 @@ struct SealedSegment {
 }
 
 /// One record recovered at open, with the coordinates needed to truncate
-/// the log right after it (or right before it, via the previous record).
-#[derive(Debug, Clone)]
-pub struct RecoveredRecord {
+/// the log right after it (or right before it, via its payload length).
+#[derive(Debug, Clone, Copy)]
+pub struct RecoveredRecord<'a> {
     /// Sequence number of the segment holding the record.
     pub seq: u64,
     /// Byte offset within that segment at which the record ends.
     pub end_offset: u64,
     /// The record payload.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
+}
+
+/// The records recovered at open: the valid prefix of every replayed
+/// segment, each read once into one buffer.
+#[derive(Debug, Default)]
+pub struct Recovered {
+    segments: Vec<RecoveredSegment>,
+}
+
+impl Recovered {
+    /// Every record, in segment order and then file order.
+    pub fn records(&self) -> impl Iterator<Item = RecoveredRecord<'_>> + '_ {
+        self.segments.iter().flat_map(RecoveredSegment::records)
+    }
+
+    /// The replayed segments in sequence order. Each buffer is freed when
+    /// its segment is dropped, so a replay that drops each segment once
+    /// applied never holds all of them decoded at once.
+    pub fn into_segments(self) -> impl Iterator<Item = RecoveredSegment> {
+        self.segments.into_iter()
+    }
+}
+
+/// The valid record prefix of one replayed segment, read into one buffer.
+#[derive(Debug)]
+pub struct RecoveredSegment {
+    seq: u64,
+    frames: Frames,
+}
+
+impl RecoveredSegment {
+    /// The segment's records, in file order.
+    pub fn records(&self) -> impl Iterator<Item = RecoveredRecord<'_>> + '_ {
+        self.frames
+            .records()
+            .map(move |(end_offset, payload)| RecoveredRecord {
+                seq: self.seq,
+                end_offset,
+                payload,
+            })
+    }
 }
 
 /// The path of segment `seq` of table `name` in `dir`.
@@ -108,70 +149,58 @@ pub struct SegmentedLog {
     /// monotonic across truncation so group commit can compare positions.
     base: u64,
     faults: Option<Arc<WalFaultHook>>,
-    recovered: Vec<RecoveredRecord>,
+    recovered: Recovered,
 }
 
 impl SegmentedLog {
     /// Opens (or creates) the segmented log for table `name` in `dir`,
-    /// migrating a legacy single-file `<name>.wal` to segment 1 and
-    /// applying the cross-segment torn-tail discipline.
+    /// applying the cross-segment torn-tail discipline. Each replayed
+    /// segment is read and checked once.
     pub fn open(dir: &Path, name: &str, config: SegmentConfig) -> io::Result<SegmentedLog> {
-        let legacy = dir.join(format!("{name}.wal"));
         let mut segs = segment_files(dir, name)?;
-        if segs.is_empty() && legacy.is_file() {
-            let first = segment_path(dir, name, 1);
-            std::fs::rename(&legacy, &first)?;
-            segs.push((1, first));
-        }
         if segs.is_empty() {
-            let active = Wal::open(segment_path(dir, name, 1))?;
-            return Ok(SegmentedLog {
-                dir: dir.to_path_buf(),
-                name: name.to_string(),
-                config,
-                sealed: Vec::new(),
-                sealed_bytes: 0,
-                active,
-                active_seq: 1,
-                base: 0,
-                faults: None,
-                recovered: Vec::new(),
-            });
+            segs.push((1, segment_path(dir, name, 1)));
         }
-
         let mut wals = Vec::with_capacity(segs.len());
-        for (_, path) in &segs {
-            wals.push(Wal::open(path)?);
+        let mut recovered = Recovered::default();
+        for (seq, path) in &segs {
+            let (wal, frames) = Wal::open_frames(path)?;
+            let torn = wal.has_torn_tail();
+            wals.push(wal);
+            recovered
+                .segments
+                .push(RecoveredSegment { seq: *seq, frames });
+            if torn {
+                break;
+            }
         }
         // The first segment whose valid prefix is shorter than its
         // physical length is the crash point: every later segment is the
         // debris of an interrupted roll and must not replay (appends after
         // the tear would otherwise land beyond never-replayed records).
-        if let Some(cut) = wals.iter().position(Wal::has_torn_tail) {
-            for (_, path) in segs.drain(cut.saturating_add(1)..) {
-                std::fs::remove_file(path)?;
-            }
-            wals.truncate(cut.saturating_add(1));
+        for (_, path) in segs.drain(wals.len()..) {
+            std::fs::remove_file(path)?;
         }
+        Self::assemble(dir, name, config, &segs, wals, recovered)
+    }
 
-        let mut recovered = Vec::new();
-        for ((seq, _), wal) in segs.iter().zip(wals.iter_mut()) {
-            for (end_offset, payload) in wal.read_all_with_offsets()? {
-                recovered.push(RecoveredRecord {
-                    seq: *seq,
-                    end_offset,
-                    payload,
-                });
-            }
-        }
-
+    /// Builds the log over its surviving segments `segs`, opened as `wals`
+    /// in sequence order: the last is the active tail, the rest are sealed.
+    fn assemble(
+        dir: &Path,
+        name: &str,
+        config: SegmentConfig,
+        segs: &[(u64, PathBuf)],
+        mut wals: Vec<Wal>,
+        recovered: Recovered,
+    ) -> io::Result<SegmentedLog> {
         let active = wals
             .pop()
             .ok_or_else(|| io::Error::other("no segments after recovery"))?;
-        let (active_seq, _) = segs[segs.len() - 1];
-        let sealed: Vec<SealedSegment> = segs[..segs.len() - 1]
+        let (active_seq, _) = segs[wals.len()];
+        let sealed: Vec<SealedSegment> = segs
             .iter()
-            .zip(wals.iter())
+            .zip(&wals)
             .map(|((seq, path), wal)| SealedSegment {
                 seq: *seq,
                 path: path.clone(),
@@ -193,9 +222,9 @@ impl SegmentedLog {
         })
     }
 
-    /// Takes the records recovered at open (segment order, then file
-    /// order). Subsequent calls return an empty vec.
-    pub fn take_recovered(&mut self) -> Vec<RecoveredRecord> {
+    /// Takes the records recovered at open. Subsequent calls return an
+    /// empty set.
+    pub fn take_recovered(&mut self) -> Recovered {
         std::mem::take(&mut self.recovered)
     }
 
@@ -343,6 +372,125 @@ impl SegmentedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::two_pass;
+    use proptest::prelude::*;
+
+    /// `SegmentedLog::open` as it was before the one-pass scan: every
+    /// segment opened with the two-pass reader's buffered scan, the cut
+    /// computed over all of them, then every surviving segment read a
+    /// second time. Returns the records as `(seq, end_offset, payload)`.
+    #[allow(clippy::type_complexity)]
+    fn open_two_pass(
+        dir: &Path,
+        config: SegmentConfig,
+    ) -> io::Result<(SegmentedLog, Vec<(u64, u64, Vec<u8>)>)> {
+        let mut segs = segment_files(dir, "t")?;
+        if segs.is_empty() {
+            segs.push((1, segment_path(dir, "t", 1)));
+        }
+        let mut wals = Vec::with_capacity(segs.len());
+        for (_, path) in &segs {
+            wals.push(two_pass::open(path)?);
+        }
+        if let Some(cut) = wals.iter().position(Wal::has_torn_tail) {
+            for (_, path) in segs.drain(cut + 1..) {
+                std::fs::remove_file(path)?;
+            }
+            wals.truncate(cut + 1);
+        }
+        let mut recovered = Vec::new();
+        for ((seq, _), wal) in segs.iter().zip(wals.iter_mut()) {
+            for (end_offset, payload) in two_pass::read_all_with_offsets(wal)? {
+                recovered.push((*seq, end_offset, payload));
+            }
+        }
+        let log = SegmentedLog::assemble(dir, "t", config, &segs, wals, Recovered::default())?;
+        Ok((log, recovered))
+    }
+
+    /// Every segment of table `t` in `dir` with its bytes.
+    fn segments(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+        let files = segment_files(dir, "t").unwrap();
+        files
+            .into_iter()
+            .map(|(seq, path)| (seq, std::fs::read(path).unwrap()))
+            .collect()
+    }
+
+    /// Sealed segments, active segment and position: where the next
+    /// append lands.
+    fn layout(log: &SegmentedLog) -> (Vec<(u64, u64)>, u64, u64, u64, u64) {
+        let sealed = log.sealed.iter().map(|s| (s.seq, s.bytes)).collect();
+        let active = &log.active;
+        (
+            sealed,
+            log.active_seq,
+            active.len_bytes(),
+            active.physical_bytes(),
+            log.lsn(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Over random record streams, seal thresholds and damage (none, a
+        /// truncation or one flipped bit in any segment), the one-pass
+        /// open recovers exactly what the two-pass reference does: the
+        /// same payloads at the same end offsets, the same valid lengths,
+        /// the same later segments dropped, and the next append lands in
+        /// the same place.
+        #[test]
+        fn one_pass_open_equals_two_pass_reference(
+            lens in proptest::collection::vec(0usize..48, 0..40),
+            threshold in 1u64..200,
+            damage in (0u8..3, any::<u64>(), any::<u64>()),
+            fill in any::<u8>(),
+        ) {
+            let t = tempfile::tempdir().unwrap();
+            let (one, two) = (t.path().join("one"), t.path().join("two"));
+            std::fs::create_dir_all(&one).unwrap();
+            std::fs::create_dir_all(&two).unwrap();
+            let config = SegmentConfig::with_segment_bytes(threshold);
+            let mut log = SegmentedLog::open(&one, "t", config).unwrap();
+            for (i, len) in lens.iter().enumerate() {
+                let payload: Vec<u8> = (0..*len).map(|j| fill ^ (i * 31 + j * 7) as u8).collect();
+                log.append(&payload).unwrap();
+            }
+            drop(log);
+            let mut files = segments(&one);
+            let (kind, which, at) = damage;
+            let victim = (which % files.len() as u64) as usize;
+            let victim = &mut files[victim].1;
+            match kind {
+                1 => victim.truncate((at % (victim.len() as u64 + 1)) as usize),
+                2 if !victim.is_empty() => {
+                    let bit = at % (victim.len() as u64 * 8);
+                    victim[(bit / 8) as usize] ^= 1 << (bit % 8);
+                }
+                _ => {}
+            }
+            for (seq, bytes) in &files {
+                std::fs::write(segment_path(&one, "t", *seq), bytes).unwrap();
+                std::fs::write(segment_path(&two, "t", *seq), bytes).unwrap();
+            }
+
+            let mut log = SegmentedLog::open(&one, "t", config).unwrap();
+            let (mut reference, expected) = open_two_pass(&two, config).unwrap();
+            let recovered: Vec<(u64, u64, Vec<u8>)> = log
+                .take_recovered()
+                .records()
+                .map(|r| (r.seq, r.end_offset, r.payload.to_vec()))
+                .collect();
+            prop_assert_eq!(recovered, expected);
+            for step in 0..2 {
+                prop_assert_eq!(layout(&log), layout(&reference), "step {}", step);
+                prop_assert_eq!(segments(&one), segments(&two), "step {}", step);
+                log.append(b"next").unwrap();
+                reference.append(b"next").unwrap();
+            }
+        }
+    }
 
     fn tiny(dir: &Path) -> SegmentedLog {
         // 64-byte threshold: a handful of records per segment.
@@ -352,8 +500,8 @@ mod tests {
     fn replay(dir: &Path) -> Vec<Vec<u8>> {
         let mut log = tiny(dir);
         log.take_recovered()
-            .into_iter()
-            .map(|r| r.payload)
+            .records()
+            .map(|r| r.payload.to_vec())
             .collect()
     }
 
@@ -374,20 +522,6 @@ mod tests {
         let records = replay(t.path());
         assert_eq!(records.len(), 20);
         assert_eq!(records[7], b"record-0007".to_vec());
-    }
-
-    #[test]
-    fn legacy_single_file_wal_migrates_to_segment_one() {
-        let t = tempfile::tempdir().unwrap();
-        {
-            let mut wal = Wal::open(t.path().join("t.wal")).unwrap();
-            wal.append(b"old-world").unwrap();
-            wal.sync().unwrap();
-        }
-        let records = replay(t.path());
-        assert_eq!(records, vec![b"old-world".to_vec()]);
-        assert!(!t.path().join("t.wal").exists());
-        assert!(t.path().join("t.wal.1").exists());
     }
 
     #[test]

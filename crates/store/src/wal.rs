@@ -8,16 +8,20 @@
 //! └───────────┴───────────┴──────────────┘
 //! ```
 //!
-//! Appends are buffered and flushed per record; [`Wal::sync`] forces an
-//! fsync for durability points. Reading tolerates a *torn tail*: a record
-//! whose header or payload is incomplete, or whose CRC mismatches, ends the
-//! replay — everything before it is intact, everything after it is treated
-//! as the debris of an interrupted write and truncated on the next append.
+//! Appends are written through per record; [`Wal::sync`] forces an fsync
+//! for durability points. Opening reads the file once and makes one
+//! framing scan over it (`Frames::scan`), which yields the valid length
+//! and the recovered records together. The scan tolerates a *torn tail*:
+//! a record whose header or payload is incomplete, or whose CRC
+//! mismatches, ends the replay — everything before it is intact,
+//! everything after it is treated as the debris of an interrupted write
+//! and truncated on the next append.
 
 use crate::crc32::crc32;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Maximum payload size accepted per record (16 MiB) — a guard against
@@ -59,25 +63,86 @@ pub struct Wal {
     faults: Option<std::sync::Arc<WalFaultHook>>,
 }
 
+/// A log's valid record prefix as read at open: one buffer holding the
+/// prefix, and the payload span of every record in it.
+#[derive(Debug)]
+pub(crate) struct Frames {
+    data: Vec<u8>,
+    spans: Vec<Range<usize>>,
+}
+
+impl Frames {
+    /// The framing scan: walks `data` record by record and keeps every
+    /// record whose header, payload and CRC are intact, stopping at the
+    /// first that is not. The buffer is cut to that valid prefix.
+    pub(crate) fn scan(mut data: Vec<u8>) -> Frames {
+        let mut spans = Vec::new();
+        let mut at = 0usize;
+        while let Some(header) = data.get(at..at + HEADER_LEN) {
+            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+            if len > MAX_RECORD_LEN {
+                break;
+            }
+            // No overflow: `at` is within the buffer (at most `isize::MAX`
+            // bytes) and `len` was bounded above.
+            let start = at + HEADER_LEN;
+            let end = start + len as usize;
+            match data.get(start..end) {
+                Some(payload) if crc32(payload) == crc => {}
+                _ => break,
+            }
+            spans.push(start..end);
+            at = end;
+        }
+        data.truncate(at);
+        Frames { data, spans }
+    }
+
+    /// Byte length of the valid record prefix.
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.data.len() as u64
+    }
+
+    /// Each record as `(end_offset, payload)`, in file order. The end
+    /// offset is the truncation point that keeps that record and drops
+    /// everything after it.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        self.spans
+            .iter()
+            .map(|span| (span.end as u64, &self.data[span.clone()]))
+    }
+}
+
 impl Wal {
     /// Opens (or creates) the log at `path` and scans it to find the valid
     /// prefix.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Wal> {
+        Ok(Self::open_frames(path)?.0)
+    }
+
+    /// Opens (or creates) the log at `path`, reading the file once: the
+    /// log comes back positioned after its valid prefix, together with
+    /// the records of that prefix.
+    pub(crate) fn open_frames(path: impl AsRef<Path>) -> io::Result<(Wal, Frames)> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(&path)?;
-        let physical_len = file.metadata()?.len();
-        let valid_len = Self::scan_valid_prefix(&mut file)?;
-        Ok(Wal {
+        let mut data = Vec::new();
+        file.read_to_end(&mut data)?;
+        let physical_len = data.len() as u64;
+        let frames = Frames::scan(data);
+        let wal = Wal {
             path,
             file,
-            valid_len,
+            valid_len: frames.valid_len(),
             physical_len,
             faults: None,
-        })
+        };
+        Ok((wal, frames))
     }
 
     /// Installs a fault hook consulted before every append and sync.
@@ -101,36 +166,6 @@ impl Wal {
 
     fn injected_fault(&self, op: WalOp) -> Option<io::Error> {
         self.faults.as_ref().and_then(|hook| hook(op))
-    }
-
-    fn scan_valid_prefix(file: &mut File) -> io::Result<u64> {
-        file.seek(SeekFrom::Start(0))?;
-        let mut reader = io::BufReader::new(&mut *file);
-        let mut offset = 0u64;
-        loop {
-            let mut header = [0u8; HEADER_LEN];
-            match reader.read_exact(&mut header) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            }
-            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-            if len > MAX_RECORD_LEN {
-                break;
-            }
-            let mut payload = vec![0u8; len as usize];
-            match reader.read_exact(&mut payload) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            }
-            if crc32(&payload) != crc {
-                break;
-            }
-            offset += (HEADER_LEN + len as usize) as u64;
-        }
-        Ok(offset)
     }
 
     /// The log file path.
@@ -202,40 +237,15 @@ impl Wal {
 
     /// Reads every valid record from the start of the log.
     pub fn read_all(&mut self) -> io::Result<Vec<Vec<u8>>> {
-        Ok(self
-            .read_all_with_offsets()?
-            .into_iter()
-            .map(|(_, payload)| payload)
-            .collect())
-    }
-
-    /// Reads every valid record along with the byte offset at which each
-    /// record *ends* — the truncation point that keeps that record and
-    /// drops everything after it.
-    pub fn read_all_with_offsets(&mut self) -> io::Result<Vec<(u64, Vec<u8>)>> {
         self.file.seek(SeekFrom::Start(0))?;
         let mut data = Vec::with_capacity(self.valid_len as usize);
         io::Read::by_ref(&mut self.file)
             .take(self.valid_len)
             .read_to_end(&mut data)?;
-        let mut records = Vec::new();
-        let mut cursor = &data[..];
-        let mut offset = 0u64;
-        while cursor.len() >= HEADER_LEN {
-            let len = cursor.get_u32_le() as usize;
-            let crc = cursor.get_u32_le();
-            if cursor.len() < len {
-                break;
-            }
-            let payload = cursor[..len].to_vec();
-            cursor.advance(len);
-            if crc32(&payload) != crc {
-                break;
-            }
-            offset = offset.saturating_add((HEADER_LEN + len) as u64);
-            records.push((offset, payload));
-        }
-        Ok(records)
+        Ok(Frames::scan(data)
+            .records()
+            .map(|(_, payload)| payload.to_vec())
+            .collect())
     }
 
     /// Physically drops any torn-tail debris beyond the valid prefix,
@@ -266,6 +276,94 @@ impl Wal {
         self.valid_len = offset;
         self.physical_len = offset;
         self.file.sync_data()
+    }
+}
+
+/// The two-pass recovery the store used before `Frames::scan`: a
+/// buffered scan for the valid length that reads every payload into a
+/// fresh buffer and checks its CRC, then a second read of that prefix that
+/// copies and checks every payload again. Kept as the reference the
+/// one-pass scan must equal.
+#[cfg(test)]
+pub(crate) mod two_pass {
+    use super::*;
+    use bytes::Buf;
+
+    /// Opens the log at `path`, finding its valid prefix with the
+    /// buffered scan.
+    pub(crate) fn open(path: &Path) -> io::Result<Wal> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let physical_len = file.metadata()?.len();
+        let valid_len = scan_valid_prefix(&mut file)?;
+        Ok(Wal {
+            path: path.to_path_buf(),
+            file,
+            valid_len,
+            physical_len,
+            faults: None,
+        })
+    }
+
+    fn scan_valid_prefix(file: &mut File) -> io::Result<u64> {
+        file.seek(SeekFrom::Start(0))?;
+        let mut reader = io::BufReader::new(&mut *file);
+        let mut offset = 0u64;
+        loop {
+            let mut header = [0u8; HEADER_LEN];
+            match reader.read_exact(&mut header) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+                Err(e) => return Err(e),
+            }
+            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+            if len > MAX_RECORD_LEN {
+                break;
+            }
+            let mut payload = vec![0u8; len as usize];
+            match reader.read_exact(&mut payload) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+                Err(e) => return Err(e),
+            }
+            if crc32(&payload) != crc {
+                break;
+            }
+            offset += (HEADER_LEN + len as usize) as u64;
+        }
+        Ok(offset)
+    }
+
+    /// Reads every valid record again, with the byte offset at which each
+    /// record ends.
+    pub(crate) fn read_all_with_offsets(wal: &mut Wal) -> io::Result<Vec<(u64, Vec<u8>)>> {
+        wal.file.seek(SeekFrom::Start(0))?;
+        let mut data = Vec::with_capacity(wal.valid_len as usize);
+        io::Read::by_ref(&mut wal.file)
+            .take(wal.valid_len)
+            .read_to_end(&mut data)?;
+        let mut records = Vec::new();
+        let mut cursor = &data[..];
+        let mut offset = 0u64;
+        while cursor.len() >= HEADER_LEN {
+            let len = cursor.get_u32_le() as usize;
+            let crc = cursor.get_u32_le();
+            if cursor.len() < len {
+                break;
+            }
+            let payload = cursor[..len].to_vec();
+            cursor.advance(len);
+            if crc32(&payload) != crc {
+                break;
+            }
+            offset = offset.saturating_add((HEADER_LEN + len) as u64);
+            records.push((offset, payload));
+        }
+        Ok(records)
     }
 }
 
